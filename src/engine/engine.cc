@@ -86,6 +86,9 @@ Status Engine::Init() {
   aux_dim_ = options_.access == AccessMethod::kColWise
                  ? spec_->AuxDim(*dataset_)
                  : 0;
+  // More than one writer per epoch, whether through several replicas or
+  // one shared replica (num_replicas <= num_workers): see EpochBoundarySync.
+  rebuild_aux_ = aux_dim_ > 0 && plan_.num_workers > 1;
   replicas_.clear();
   for (int r = 0; r < plan_.num_replicas; ++r) {
     auto rep = std::make_unique<Replica>();
@@ -309,10 +312,13 @@ void Engine::EpochBoundarySync() {
   }
   for (auto& rep : replicas_) {
     spec_->Project(rep->model(), model_dim_);
-    if (aux_dim_ > 0 && plan_.num_replicas > 1) {
-      // Averaged model invalidates the maintained margins/residuals; the
-      // rebuild is a full data pass per replica -- the real cost that
-      // makes fine-grained sharing unattractive for SCD.
+    if (rebuild_aux_) {
+      // An averaged model invalidates the maintained margins/residuals,
+      // and so do the non-atomic `aux[i] += ...` patches that workers
+      // sharing a replica lose to each other. The rebuild is a full data
+      // pass per replica -- the real cost that makes fine-grained sharing
+      // unattractive for SCD -- and it bounds the residual incoherence to
+      // one epoch.
       spec_->RefreshAux(*dataset_, rep->model(), rep->aux());
     }
   }
@@ -331,8 +337,8 @@ numa::SimulationInput Engine::BuildSimInput() const {
   in.model_sharing_sockets = plan_.sharing_sockets;
   in.model_bytes =
       plan_.replica_bytes * static_cast<uint64_t>(plan_.replicas_per_node);
-  if (aux_dim_ > 0 && plan_.num_replicas > 1) {
-    // Aux refresh traffic at the epoch boundary.
+  if (rebuild_aux_) {
+    // Aux refresh traffic at the epoch boundary (see EpochBoundarySync).
     const uint64_t scan = static_cast<uint64_t>(dataset_->a.ScanBytes());
     for (int r = 0; r < plan_.num_replicas; ++r) {
       numa::AccessCounters extra;

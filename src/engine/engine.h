@@ -110,8 +110,8 @@ class Engine {
   struct Replica;
 
   void WorkerLoop(int worker_id);
-  void RunWorkPhase();                    // one epoch's work on all workers
-  void EpochBoundarySync();               // average + project + aux refresh
+  /// Averages replicas, projects, and rebuilds aux when rebuild_aux_.
+  void EpochBoundarySync();
   void AveragerLoop();                    // async averaging thread body
   void AverageReplicasOnce();             // one averaging round (model part)
   /// Copies `weights` (model_dim_ doubles) into the export buffer.
@@ -132,6 +132,9 @@ class Engine {
 
   matrix::Index model_dim_ = 0;
   size_t aux_dim_ = 0;
+  /// Aux is rebuilt at each epoch boundary (and that scan charged to the
+  /// simulated epoch): column-wise plans with more than one worker.
+  bool rebuild_aux_ = false;
   std::vector<std::unique_ptr<Replica>> replicas_;
   std::vector<double> importance_cdf_;           // kImportance only
   std::vector<double> consensus_;                // scratch for averaging

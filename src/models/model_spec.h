@@ -10,7 +10,9 @@
 //
 // Some column-wise methods (SCD over GLMs) maintain an auxiliary vector
 // (residuals/margins, one entry per row) inside the replica; AuxDim()
-// declares its size and RefreshAux() rebuilds it after model averaging.
+// declares its size and RefreshAux() rebuilds it after model averaging and
+// after any epoch in which more than one worker wrote a replica (workers
+// sharing a replica lose each other's aux updates).
 // This is exactly why the paper's rule of thumb pairs SCD with PerMachine:
 // the auxiliary state makes frequent cross-replica averaging expensive.
 #pragma once
@@ -55,7 +57,9 @@ class ModelSpec {
   virtual size_t AuxDim(const data::Dataset&) const { return 0; }
 
   /// Rebuilds the auxiliary state from scratch for the given model (one
-  /// full pass over the data). Called at init and after model averaging.
+  /// full pass over the data). Called at init and at the end of every
+  /// epoch with more than one worker: after model averaging across
+  /// replicas, and to repair the updates lost by workers sharing one.
   virtual void RefreshAux(const data::Dataset&, const double* /*model*/,
                           double* /*aux*/) const {}
 

@@ -202,6 +202,47 @@ TEST(EngineTest, ColumnWiseLeastSquaresConverges) {
   EXPECT_LT(rr.BestLoss(), 0.05);
 }
 
+// Reads one column-wise epoch charges beyond the workers' own data and
+// model reads: the epoch-boundary aux rebuild scans, one per replica.
+uint64_t AuxRebuildReadBytes(const Engine& engine) {
+  const numa::AccessCounters t = engine.last_epoch_sim().traffic.Total();
+  uint64_t worker_reads = 0;
+  for (const WorkerPlan& wp : engine.plan().workers) {
+    worker_reads += wp.data_bytes_per_epoch + wp.model_read_bytes_per_epoch;
+  }
+  // A worker's model reads land in model_read_bytes when its replica is
+  // node-local and in remote_read_bytes otherwise.
+  return t.total_read_bytes() + t.model_read_bytes - worker_reads;
+}
+
+TEST(EngineTest, SharedReplicaColumnEpochChargesAuxRebuild) {
+  // Workers sharing one replica lose each other's residual updates, so
+  // the boundary rebuilds aux; the simulated epoch must charge that scan.
+  Dataset d;
+  d.a = data::MakeDenseTable({.rows = 300, .cols = 24, .seed = 21});
+  d.b = data::PlantRegressionTargets(d.a, 0.05, 22);
+  models::LeastSquaresSpec ls;
+  EngineOptions opts = SmallTopoOptions();
+  opts.access = AccessMethod::kColWise;
+  opts.model_rep = ModelReplication::kPerMachine;
+  Engine shared(&d, &ls, opts);
+  ASSERT_TRUE(shared.Init().ok());
+  ASSERT_EQ(shared.plan().num_workers, 4);
+  ASSERT_EQ(shared.plan().num_replicas, 1);
+  (void)shared.RunEpochNoEval();
+  EXPECT_EQ(AuxRebuildReadBytes(shared),
+            static_cast<uint64_t>(d.a.ScanBytes()));
+
+  // A lone worker loses no updates: no rebuild, nothing charged.
+  opts.topology.num_nodes = 1;
+  opts.topology.cores_per_node = 1;
+  Engine single(&d, &ls, opts);
+  ASSERT_TRUE(single.Init().ok());
+  ASSERT_EQ(single.plan().num_workers, 1);
+  (void)single.RunEpochNoEval();
+  EXPECT_EQ(AuxRebuildReadBytes(single), 0u);
+}
+
 TEST(EngineTest, ColumnToRowLpConverges) {
   const Dataset d = data::AmazonLp(0.0005, 31);
   models::LpSpec lp;
